@@ -19,17 +19,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from functools import cached_property
+from typing import Callable, Sequence
 
 from .model import MatrixBundle, ModelError
 from .spectral import (
     NotIrreducible,
+    _Spectrum,
     coupling_index,
     cyclicity,
     eigenvectors,
-    is_irreducible,
-    max_cycle_mean,
-    min_cycle_mean,
     min_eigenvectors,
     periodic_eigenvectors,
 )
@@ -73,6 +72,16 @@ class CombinedModel:
     @property
     def transitions(self) -> tuple[str, ...]:
         return self.bundle.index_map
+
+    # Built on first use and kept by this model, so that every analysis of
+    # it shares one cycle mean and one normalized closure per matrix.
+    @cached_property
+    def calA_spectrum(self) -> _Spectrum:
+        return _Spectrum(self.calA)
+
+    @cached_property
+    def calB_spectrum(self) -> _Spectrum:
+        return _Spectrum(self.calB)
 
 
 @dataclass(frozen=True)
@@ -151,10 +160,9 @@ def build_combined(bundle: MatrixBundle) -> CombinedModel:
 
 def existence_report(cm: CombinedModel) -> ExistenceReport:
     """Necessary conditions for admissible behavior, plus the verdict."""
-    rho_a = max_cycle_mean(cm.calA)
-    rho_b = min_cycle_mean(cm.calB)
-    rho_h = max_cycle_mean(cm.H)
-    h_ok = rho_h is None or rho_h <= 0
+    rho_a = cm.calA_spectrum.eigenvalue
+    rho_b = cm.calB_spectrum.eigenvalue
+    h_ok = cm.Hstar is not None  # the star diverges exactly on a positive circuit
     order_ok = rho_a is None or rho_b is None or rho_a <= rho_b
     entrywise_ok = leq(cm.calA, cm.calB)
     verdict = (
@@ -172,10 +180,6 @@ def existence_report(cm: CombinedModel) -> ExistenceReport:
     )
 
 
-def _column(x: Sequence[Number], tag) -> TropicalMatrix:
-    return TropicalMatrix.column(tuple(x), tag)
-
-
 def in_image_star(m: TropicalMatrix, x: Sequence[Number]) -> bool:
     """Membership of x in the image of m*: m (x) x <= x entrywise.
 
@@ -183,7 +187,7 @@ def in_image_star(m: TropicalMatrix, x: Sequence[Number]) -> bool:
     """
     if not m.is_square or m.rows != len(x):
         raise ValueError(f"vector of length {len(x)} against {m.rows}x{m.cols} matrix")
-    col = _column(x, m.tag)
+    col = TropicalMatrix.column(x, m.tag)
     return leq(mat_mul(m, col), col)
 
 
@@ -192,22 +196,23 @@ def necessary_check(cm: CombinedModel, x0: Sequence[Number], cap: int | None = N
 
     Requires calA and calB# irreducible; checks the cycle-time ordering
     and (calB#)^n (x) calA^n (x) x0 <= x0 for n up to the larger coupling
-    index.
+    index.  calB# is the transpose of the negation of calB, so it shares
+    the irreducibility and the coupling index of calB's spectrum.
     """
-    bsharp = conjugate(cm.calB)
-    if not is_irreducible(cm.calA):
+    spec_a, spec_b = cm.calA_spectrum, cm.calB_spectrum
+    if not spec_a.irreducible:
         raise NotIrreducible("calA is not irreducible")
-    if not is_irreducible(bsharp):
+    if not spec_b.irreducible:
         raise NotIrreducible("calB# is not irreducible")
-    n_a = coupling_index(cm.calA, cap)
-    n_b = coupling_index(bsharp, cap)
+    n_a = coupling_index(spec_a, cap)
+    n_b = coupling_index(spec_b, cap)
     if n_a is None or n_b is None:
         raise CouplingNotFound("coupling index not found under the cap")
-    rho_a = max_cycle_mean(cm.calA)
-    rho_b = min_cycle_mean(cm.calB)
+    rho_a, rho_b = spec_a.eigenvalue, spec_b.eigenvalue
+    bsharp = conjugate(cm.calB)
     order_ok = rho_a is None or rho_b is None or rho_a <= rho_b
     horizon = max(1, n_a, n_b)
-    col = _column(x0, MAXPLUS)
+    col = TropicalMatrix.column(x0, MAXPLUS)
     failing: int | None = None
     power_a = TropicalMatrix.identity(cm.calA.rows, MAXPLUS)
     power_bs = TropicalMatrix.identity(cm.calA.rows, MAXPLUS)
@@ -226,19 +231,12 @@ def necessary_check(cm: CombinedModel, x0: Sequence[Number], cap: int | None = N
     )
 
 
-def _shift_min_zero(v: Sequence[Number]) -> tuple[Number, ...]:
-    finite = [x for x in v if is_finite(x)]
-    if not finite:
-        return tuple(v)
-    m = min(finite)
-    return tuple(x - m if is_finite(x) else x for x in v)
-
-
 def _candidate_pool(vectors: list[tuple[Number, ...]]) -> list[tuple[Number, ...]]:
-    """Shift every vector so its minimum entry is 0, dropping duplicates."""
+    """Shift every vector so its minimum finite entry is 0, dropping duplicates."""
     pool: list[tuple[Number, ...]] = []
     for vec in vectors:
-        shifted = _shift_min_zero(vec)
+        m = min((x for x in vec if is_finite(x)), default=0)
+        shifted = tuple(x - m if is_finite(x) else x for x in vec)
         if shifted not in pool:
             pool.append(shifted)
     return pool
@@ -255,26 +253,7 @@ def fastest_init(cm: CombinedModel) -> list[Candidate]:
     shifted so its minimum entry is 0.  An empty result means no
     candidate passes, not an error.
     """
-    if not is_irreducible(cm.calA):
-        raise NotIrreducible("calA is not irreducible")
-    p = cyclicity(cm.calA)
-    rate = max_cycle_mean(cm.calA)
-    vectors = eigenvectors(cm.calA)
-    if p > 1:
-        vectors = vectors + periodic_eigenvectors(cm.calA, p)
-    guard = mat_mul(conjugate(cm.calB), cm.calA)
-    out: list[Candidate] = []
-    for x0 in _candidate_pool(vectors):
-        state = _column(x0, MAXPLUS)
-        admissible = True
-        for _ in range(p):
-            if not in_image_star(guard, state.entries):
-                admissible = False
-                break
-            state = mat_mul(cm.calA, state)
-        if admissible:
-            out.append(Candidate(x0=x0, period=p, rate=rate))
-    return out
+    return _periodic_starts(cm, cm.calA, cm.calA_spectrum, eigenvectors, "calA")
 
 
 def slowest_init(cm: CombinedModel) -> list[Candidate]:
@@ -284,26 +263,38 @@ def slowest_init(cm: CombinedModel) -> list[Candidate]:
     of calB and, for cyclicity q > 1, of its q-th power, and every phase
     x(i) = calB^i (x)' x0 must stay in the image of (calB# (x) calA)*.
     """
-    if not is_irreducible(cm.calB):
-        raise NotIrreducible("calB is not irreducible")
-    q = cyclicity(cm.calB)
-    rate = min_cycle_mean(cm.calB)
-    vectors = min_eigenvectors(cm.calB)
-    if q > 1:
-        vectors = vectors + periodic_eigenvectors(cm.calB, q)
+    return _periodic_starts(cm, cm.calB, cm.calB_spectrum, min_eigenvectors, "calB")
+
+
+def _periodic_starts(
+    cm: CombinedModel, matrix: TropicalMatrix, spectrum: _Spectrum, basis: Callable, name: str
+) -> list[Candidate]:
+    """Candidates of fastest_init (calA) or slowest_init (calB): the
+    eigenvectors of the matrix, and of its p-th power for cyclicity p > 1,
+    whose p phases under the matrix all lie in the image of
+    (calB# (x) calA)*."""
+    if not spectrum.irreducible:
+        raise NotIrreducible(f"{name} is not irreducible")
+    p = cyclicity(spectrum)
+    vectors = basis(spectrum)
+    if p > 1:
+        vectors = vectors + periodic_eigenvectors(spectrum, p)
     guard = mat_mul(conjugate(cm.calB), cm.calA)
-    out: list[Candidate] = []
-    for x0 in _candidate_pool(vectors):
-        state = _column(x0, MINPLUS)
-        admissible = True
-        for _ in range(q):
-            if not in_image_star(guard, state.entries):
-                admissible = False
-                break
-            state = mat_mul(cm.calB, state)
-        if admissible:
-            out.append(Candidate(x0=x0, period=q, rate=rate))
-    return out
+    return [
+        Candidate(x0=x0, period=p, rate=spectrum.eigenvalue)
+        for x0 in _candidate_pool(vectors)
+        if all(in_image_star(guard, x) for x in _orbit(matrix, x0, p))
+    ]
+
+
+def _orbit(matrix: TropicalMatrix, x0: Sequence[Number], count: int):
+    """The first count states x0, matrix (x) x0, ..., each computed when
+    the consumer asks for it."""
+    state = TropicalMatrix.column(x0, matrix.tag)
+    yield state.entries
+    for _ in range(count - 1):
+        state = mat_mul(matrix, state)
+        yield state.entries
 
 
 def run_trajectory(
@@ -319,17 +310,13 @@ def run_trajectory(
     x(k) = calB (x)' x(k-1); the result holds steps+1 states.
     """
     if mode is TrajectoryMode.FASTEST:
-        matrix, tag = cm.calA, MAXPLUS
+        matrix = cm.calA
     elif mode is TrajectoryMode.SLOWEST:
-        matrix, tag = cm.calB, MINPLUS
+        matrix = cm.calB
     else:
         raise ValueError("run_trajectory generates fastest or slowest runs only")
-    state = _column(x0, tag)
-    states = [tuple(state.entries)]
-    for _ in range(steps):
-        state = mat_mul(matrix, state)
-        states.append(tuple(state.entries))
-    return Trajectory(states=tuple(states), mode=mode, period_scalar=period_scalar)
+    states = tuple(_orbit(matrix, x0, steps + 1))
+    return Trajectory(states=states, mode=mode, period_scalar=period_scalar)
 
 
 def verify_trajectory(bundle: MatrixBundle, traj: Trajectory) -> list[Violation]:
@@ -345,13 +332,13 @@ def verify_trajectory(bundle: MatrixBundle, traj: Trajectory) -> list[Violation]
     names = bundle.index_map
     bsharp = conjugate(bundle.B)
     out: list[Violation] = []
-    x_prev = _column(traj.states[0], MAXPLUS)
+    x_prev = TropicalMatrix.column(traj.states[0], MAXPLUS)
     init_bound = mat_mul(bundle.B, x_prev)
     for i in range(len(names)):
         if not x_prev[i, 0] >= init_bound[i, 0]:
             out.append(Violation(0, names[i], "initial", _slack(x_prev[i, 0], init_bound[i, 0])))
     for k in range(1, len(traj.states)):
-        x_k = _column(traj.states[k], MAXPLUS)
+        x_k = TropicalMatrix.column(traj.states[k], MAXPLUS)
         lower = mat_add(mat_mul(bundle.A, x_prev), mat_mul(bundle.Blow, x_k))
         upper = mat_add(
             mat_mul(bsharp, retag(x_k, MINPLUS)),

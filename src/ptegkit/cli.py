@@ -29,7 +29,7 @@ from .analysis import (
 )
 from .model import ModelError, PtegModel, extract_matrices, normalize, parse_model, validate
 from .spectral import NoCircuit, NotIrreducible, SpectralReport, spectral_report
-from .tropical import Number, format_matrix, format_number, is_finite, parse_number
+from .tropical import Number, TropicalError, format_matrix, format_number, is_finite, parse_number
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -182,8 +182,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         f"necessary_order_ok: {_fmt_bool(rep.necessary_order_ok)}",
         f"entrywise_ok: {_fmt_bool(rep.entrywise_ok)}",
     ]
-    lines += _render_spectral("calA", spectral_report(cm.calA), names)
-    lines += _render_spectral("calB", spectral_report(cm.calB), names)
+    lines += _render_spectral("calA", spectral_report(cm.calA_spectrum), names)
+    lines += _render_spectral("calB", spectral_report(cm.calB_spectrum), names)
     lines += _render_candidates("fastest_candidates", fastest_init(cm))
     lines += _render_candidates("slowest_candidates", slowest_init(cm))
     print("\n".join(lines))
@@ -248,10 +248,16 @@ def parse_trajectory_csv(text: str, names: tuple[str, ...]) -> Trajectory:
         cells = [c.strip() for c in ln.split(",")]
         if len(cells) != len(names) + 1:
             raise ModelError(f"bad CSV row {ln!r}")
-        states.append(tuple(parse_number(c) for c in cells[1:]))
+        try:
+            states.append(tuple(parse_number(c) for c in cells[1:]))
+        except (ValueError, ZeroDivisionError, TropicalError):
+            raise ModelError(f"bad number in CSV row {ln!r}") from None
     if not states:
         raise ModelError("trajectory CSV has no data rows")
-    return Trajectory(states=tuple(states), mode=TrajectoryMode.CUSTOM)
+    try:
+        return Trajectory(states=tuple(states), mode=TrajectoryMode.CUSTOM)
+    except ValueError as exc:  # a non-finite date
+        raise ModelError(str(exc)) from None
 
 
 def cmd_verify(args: argparse.Namespace) -> int:

@@ -22,6 +22,7 @@ from .tropical import (
     NEG_INF,
     POS_INF,
     Number,
+    TropicalError,
     TropicalMatrix,
     conjugate,
     format_number,
@@ -128,7 +129,7 @@ def parse_model(text: str) -> PtegModel:
             try:
                 tmin = parse_number(fields[9])
                 tmax = parse_number(fields[10])
-            except ValueError:
+            except (ValueError, ZeroDivisionError, TropicalError):
                 raise ModelError(f"bad interval bound in {line!r}", lineno) from None
             if tokens < 0:
                 raise ModelError(f"place {pname!r} has a negative token count", lineno)

@@ -4,22 +4,32 @@ Cycle means, eigenvalues, eigenvector bases, critical graphs, cyclicity
 and coupling (transient) indices, all on the precedence graph of a square
 matrix.  Internals run on exact rationals so that criticality tests and
 eigen-residuals are exact even when the cycle mean is not an integer.
-Min-plus matrices are handled through negation duality: negating every
-entry preserves the circuit structure and swaps minima for maxima.
+
+All of these are read off one spectrum per matrix (`_Spectrum`): the
+exact max-plus matrix, its irreducibility, its cycle mean rho from one
+Karp run, and, built on first use, the matrix normalized by rho and its
+plus-closure, from which the critical graph, cyclicity and eigenvectors
+follow.  The spectrum keeps these, the module keeps nothing; every
+function below accepts a matrix or a spectrum, so a caller that asks
+several questions of one matrix builds its spectrum once.  Min-plus
+matrices enter through negation duality at the spectrum's constructor
+only: negating every entry preserves the circuit structure and swaps
+minima for maxima, and the spectrum's sign maps eigenvalues and vectors
+back.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .tropical import (
     MAXPLUS,
     MINPLUS,
     NEG_INF,
-    POS_INF,
     UNIT,
     DimensionMismatch,
     Number,
@@ -230,47 +240,77 @@ def min_cycle_mean(b: TropicalMatrix) -> Number | None:
     """Minimal circuit mean of a min-plus matrix, via negation duality."""
     if b.tag is not MINPLUS:
         raise TropicalError("min_cycle_mean expects a min-plus matrix")
-    rho = max_cycle_mean(negate(b))
-    return None if rho is None else _simplify(-rho)
+    return _Spectrum(b).eigenvalue
 
 
-def _exact_matrix(a: TropicalMatrix) -> TropicalMatrix:
-    return TropicalMatrix(a.rows, a.cols, a.tag, tuple(_exact(v) for v in a.entries))
+class _Spectrum:
+    """Spectral data of one square matrix, shared by every function that is
+    passed the spectrum.
+
+    A min-plus matrix is stored as its max-plus negation with sign -1:
+    negation keeps the circuits and turns the minimal cycle mean into the
+    maximal one, and `sign` maps eigenvalues and vectors back.  This is the
+    one place where the two semirings are told apart.
+    """
+
+    def __init__(self, a: TropicalMatrix):
+        self.tag = a.tag
+        self.sign = -1 if a.tag is MINPLUS else 1
+        m = negate(a) if self.sign < 0 else a
+        self.matrix = TropicalMatrix(m.rows, m.cols, MAXPLUS, tuple(map(_exact, m.entries)))
+        self.irreducible = is_irreducible(self.matrix)
+        self.rho = max_cycle_mean(self.matrix)  # of the max-plus side
+
+    @property
+    def eigenvalue(self) -> Number | None:
+        """Cycle mean in the semiring of the input matrix."""
+        return None if self.rho is None else _simplify(self.sign * self.rho)
+
+    def mean(self, message: str = "matrix has an acyclic precedence graph") -> Fraction:
+        """rho as a Fraction; NoCircuit with the message when there is none."""
+        if self.rho is None:
+            raise NoCircuit(message)
+        return Fraction(self.rho)
+
+    @cached_property
+    def normalized(self) -> TropicalMatrix:
+        """The max-plus side minus rho: its heaviest circuits weigh 0."""
+        return scale(self.matrix, -self.mean())
+
+    @cached_property
+    def closure(self) -> TropicalMatrix:
+        """Plus-closure of the normalized matrix."""
+        return kleene_plus(self.normalized)
+
+    def vector(self, v: Sequence[Number]) -> tuple[Number, ...]:
+        """A vector of the max-plus side, mapped back to the input's semiring."""
+        return tuple(_simplify(self.sign * x) for x in v)
 
 
-def _normalized_plus(a: TropicalMatrix, rho: Number) -> TropicalMatrix:
-    """Exact plus-closure of the matrix normalized by its cycle mean."""
-    shifted = scale(_exact_matrix(a), -Fraction(rho))
-    return kleene_plus(shifted)
+def _spectrum(a: TropicalMatrix | _Spectrum) -> _Spectrum:
+    return a if isinstance(a, _Spectrum) else _Spectrum(a)
 
 
-def critical_graph(a: TropicalMatrix) -> CriticalGraph:
-    """Critical nodes, arcs and components of a max-plus matrix.
+def critical_graph(a: TropicalMatrix | _Spectrum) -> CriticalGraph:
+    """Critical nodes, arcs and components of a square matrix.
 
-    After normalizing by the maximum cycle mean, node i is critical when
+    After normalizing by the extremal cycle mean, node i is critical when
     the plus-closure has 0 at (i, i), and arc j->i is critical when the
     normalized weight of the arc plus the best return path closes a
-    zero-weight circuit.
+    zero-weight circuit.  A min-plus matrix has the critical graph of its
+    negation.
     """
-    rho = max_cycle_mean(a)
-    if rho is None:
-        raise NoCircuit("matrix has an acyclic precedence graph")
-    shifted = scale(_exact_matrix(a), -Fraction(rho))
-    closure = kleene_plus(shifted)
-    n = a.rows
+    spec = _spectrum(a)
+    shifted, closure = spec.normalized, spec.closure
+    n = shifted.rows
     nodes = tuple(i for i in range(n) if closure[i, i] == UNIT)
     node_set = set(nodes)
-    arcs = []
-    for i in range(n):
-        for j in range(n):
-            if i not in node_set or j not in node_set:
-                continue
-            w = shifted[i, j]
-            if not is_finite(w):
-                continue
-            back = UNIT if i == j else closure[j, i]
-            if is_finite(back) and w + back == UNIT:
-                arcs.append((j, i))
+    arcs = [
+        (j, i)
+        for i in nodes
+        for j in nodes
+        if is_finite(shifted[i, j]) and shifted[i, j] + (UNIT if i == j else closure[j, i]) == UNIT
+    ]
     comp_succ: list[list[tuple[int, Number]]] = [[] for _ in range(n)]
     arc_set = set(arcs)
     for s, d in arcs:
@@ -308,18 +348,12 @@ def _component_cyclicity(component: Sequence[int], arcs: Sequence[tuple[int, int
     return g if g > 0 else 1
 
 
-def cyclicity(a: TropicalMatrix) -> int:
-    """Lcm over critical components of the gcd of their circuit lengths.
-
-    Min-plus input is handled through its negation dual, which has the
-    same critical structure.
-    """
-    if a.tag is MINPLUS:
-        return cyclicity(negate(a))
+def cyclicity(a: TropicalMatrix | _Spectrum) -> int:
+    """Lcm over critical components of the gcd of their circuit lengths."""
     return lcm(*critical_graph(a).cyclicities)
 
 
-def eigenvectors(a: TropicalMatrix) -> list[tuple[Number, ...]]:
+def eigenvectors(a: TropicalMatrix | _Spectrum) -> list[tuple[Number, ...]]:
     """Basis of the eigenspace of an irreducible max-plus matrix.
 
     Columns of the normalized plus-closure with unit diagonal, pruned so
@@ -328,20 +362,37 @@ def eigenvectors(a: TropicalMatrix) -> list[tuple[Number, ...]]:
     """
     if a.tag is not MAXPLUS:
         raise TropicalError("eigenvectors expects a max-plus matrix; see min_eigenvectors")
-    if not is_irreducible(a):
+    return _basis(_spectrum(a))
+
+
+def min_eigenvectors(b: TropicalMatrix | _Spectrum) -> list[tuple[Number, ...]]:
+    """Eigenvector basis of an irreducible min-plus matrix.
+
+    Duality: v is a min-plus eigenvector of b exactly when its negation
+    is a max-plus eigenvector of the negated matrix.
+    """
+    if b.tag is not MINPLUS:
+        raise TropicalError("min_eigenvectors expects a min-plus matrix")
+    return _basis(_spectrum(b))
+
+
+def _basis(spec: _Spectrum) -> list[tuple[Number, ...]]:
+    if not spec.irreducible:
         raise NotIrreducible("eigenvector basis needs a strongly connected graph")
-    rho = max_cycle_mean(a)
-    if rho is None:
-        raise NoCircuit("matrix has an acyclic precedence graph")
-    closure = _normalized_plus(a, rho)
-    basis: list[tuple[Number, ...]] = []
-    for j in range(a.rows):
-        if closure[j, j] != UNIT:
+    return [spec.vector(v) for v in _critical_columns(spec.closure)]
+
+
+def _critical_columns(closure: TropicalMatrix, keep: Callable | None = None) -> list[tuple[Number, ...]]:
+    """Columns of a normalized plus-closure with unit diagonal that pass
+    keep, pruned so that no column is a tropical multiple of an earlier one."""
+    out: list[tuple[Number, ...]] = []
+    for j in range(closure.rows):
+        col = closure.col(j)
+        if closure[j, j] != UNIT or (keep is not None and not keep(col)):
             continue
-        col = tuple(_simplify(v) for v in closure.col(j))
-        if not any(_proportional(col, kept) for kept in basis):
-            basis.append(col)
-    return basis
+        if not any(_proportional(col, kept) for kept in out):
+            out.append(col)
+    return out
 
 
 def _proportional(u: Sequence[Number], v: Sequence[Number]) -> bool:
@@ -364,25 +415,7 @@ def _proportional(u: Sequence[Number], v: Sequence[Number]) -> bool:
     return True
 
 
-def min_eigenvectors(b: TropicalMatrix) -> list[tuple[Number, ...]]:
-    """Eigenvector basis of an irreducible min-plus matrix.
-
-    Duality: v is a min-plus eigenvector of b exactly when its negation
-    is a max-plus eigenvector of the negated matrix.
-    """
-    if b.tag is not MINPLUS:
-        raise TropicalError("min_eigenvectors expects a min-plus matrix")
-    duals = eigenvectors(negate(b))
-    return [_negate_vector(v) for v in duals]
-
-
-def _negate_vector(v: Sequence[Number]) -> tuple[Number, ...]:
-    return tuple(
-        POS_INF if x == NEG_INF else NEG_INF if x == POS_INF else _simplify(-x) for x in v
-    )
-
-
-def periodic_eigenvectors(a: TropicalMatrix, p: int) -> list[tuple[Number, ...]]:
+def periodic_eigenvectors(a: TropicalMatrix | _Spectrum, p: int) -> list[tuple[Number, ...]]:
     """Finite eigenvectors of a^p for the eigenvalue p * rho(a).
 
     Phase starts for p-periodic regimes.  The p-th power of a p-cyclic
@@ -391,47 +424,34 @@ def periodic_eigenvectors(a: TropicalMatrix, p: int) -> list[tuple[Number, ...]]
     normalized closure are kept only when they are finite everywhere and
     satisfy the eigen equation exactly.
     """
-    if a.tag is MINPLUS:
-        return [_negate_vector(v) for v in periodic_eigenvectors(negate(a), p)]
-    rho = max_cycle_mean(a)
-    if rho is None:
-        raise NoCircuit("matrix has an acyclic precedence graph")
-    power = mat_pow(_exact_matrix(a), p)
-    shifted = scale(power, -p * Fraction(rho))
-    closure = kleene_plus(shifted)
-    out: list[tuple[Number, ...]] = []
-    for j in range(a.rows):
-        if closure[j, j] != UNIT:
-            continue
-        col_matrix = TropicalMatrix.column(closure.col(j), MAXPLUS)
-        if any(not is_finite(v) for v in col_matrix.entries):
-            continue
-        if mat_mul(shifted, col_matrix).entries != col_matrix.entries:
-            continue
-        col = tuple(_simplify(v) for v in col_matrix.entries)
-        if not any(_proportional(col, kept) for kept in out):
-            out.append(col)
-    return out
+    spec = _spectrum(a)
+    shift = -p * spec.mean()
+    shifted = scale(mat_pow(spec.matrix, p), shift)
+
+    def is_eigenvector(col: tuple[Number, ...]) -> bool:
+        if not all(map(is_finite, col)):
+            return False
+        return mat_mul(shifted, TropicalMatrix.column(col, MAXPLUS)).entries == col
+
+    columns = _critical_columns(kleene_plus(shifted), is_eigenvector)
+    return [spec.vector(v) for v in columns]
 
 
-def coupling_index(a: TropicalMatrix, cap: int | None = None) -> int | None:
+def coupling_index(a: TropicalMatrix | _Spectrum, cap: int | None = None) -> int | None:
     """Smallest N with a^(N+c) = rho^c (x) a^N, c the cyclicity.
 
     Searched by bounded iteration; None when no such N <= cap exists.
     The default cap is 10 d^2 for dimension d.
     """
-    if a.tag is MINPLUS:
-        return coupling_index(negate(a), cap)
-    rho = max_cycle_mean(a)
-    if rho is None:
-        raise NoCircuit("coupling index undefined for acyclic matrices")
-    c = cyclicity(a)
+    spec = _spectrum(a)
+    rho = spec.mean("coupling index undefined for acyclic matrices")
+    c = cyclicity(spec)
+    exact = spec.matrix
     if cap is None:
-        cap = 10 * a.rows * a.rows
-    exact = _exact_matrix(a)
+        cap = 10 * exact.rows * exact.rows
     step = mat_pow(exact, c)
-    shift = Fraction(rho) * c
-    power = TropicalMatrix.identity(a.rows, a.tag)
+    shift = rho * c
+    power = TropicalMatrix.identity(exact.rows, MAXPLUS)
     for n in range(cap + 1):
         if mat_mul(power, step).entries == scale(power, shift).entries:
             return n
@@ -439,33 +459,17 @@ def coupling_index(a: TropicalMatrix, cap: int | None = None) -> int | None:
     return None
 
 
-def spectral_report(a: TropicalMatrix, coupling_cap: int | None = None) -> SpectralReport:
+def spectral_report(a: TropicalMatrix | _Spectrum, coupling_cap: int | None = None) -> SpectralReport:
     """Full spectral summary for a square matrix of either tag."""
-    if a.tag is MINPLUS:
-        dual = spectral_report(negate(a), coupling_cap)
-        vectors = tuple(
-            tuple(POS_INF if x == NEG_INF else NEG_INF if x == POS_INF else _simplify(-x) for x in v)
-            for v in dual.eigenvectors
-        )
-        return SpectralReport(
-            eigenvalue=_simplify(-Fraction(dual.eigenvalue)),
-            eigenvectors=vectors,
-            cyclicity=dual.cyclicity,
-            critical=dual.critical,
-            coupling_index=dual.coupling_index,
-            irreducible=dual.irreducible,
-        )
-    irr = is_irreducible(a)
-    rho = max_cycle_mean(a)
-    if rho is None:
-        raise NoCircuit("spectral report needs at least one circuit")
-    crit = critical_graph(a)
-    vectors = tuple(eigenvectors(a)) if irr else ()
+    spec = _spectrum(a)
+    spec.mean("spectral report needs at least one circuit")  # NoCircuit when acyclic
+    crit = critical_graph(spec)
+    irr = spec.irreducible
     return SpectralReport(
-        eigenvalue=rho,
-        eigenvectors=vectors,
+        eigenvalue=spec.eigenvalue,
+        eigenvectors=tuple(_basis(spec)) if irr else (),
         cyclicity=lcm(*crit.cyclicities),
         critical=crit,
-        coupling_index=coupling_index(a, coupling_cap) if irr else None,
+        coupling_index=coupling_index(spec, coupling_cap) if irr else None,
         irreducible=irr,
     )

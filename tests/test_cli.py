@@ -204,3 +204,59 @@ def test_verify_slowest_against_lower_bound(tmp_path, capsys):
         "--out", str(out_file))
     code, out, _ = run(capsys, "verify", ELECTRO, "--trajectory", str(out_file))
     assert code == 0 and "no violations" in out
+
+
+# ------------------------------------------------------- malformed input
+
+TWO_CYCLE = (
+    "pteg m\ntransitions a b\n"
+    "place p from a to b tokens 1 interval {}\n"
+    "place q from b to a tokens 1 interval 1 2\n"
+)
+
+
+def assert_one_error_line(code, out, err):
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("interval", ["nan 3", "1/0 3"])
+def test_malformed_interval_bound_is_an_input_error(tmp_path, capsys, interval):
+    model = tmp_path / "bad.pteg"
+    model.write_text(TWO_CYCLE.format(interval))
+    assert_one_error_line(*run(capsys, "analyze", str(model)))
+
+
+@pytest.mark.parametrize("cell", ["1/0", "inf", "nan", "abc"])
+def test_malformed_csv_cell_is_an_input_error(tmp_path, capsys, cell):
+    model = tmp_path / "ok.pteg"
+    model.write_text(TWO_CYCLE.format("1 2"))
+    csv = tmp_path / "bad.csv"
+    csv.write_text(f"k,a,b\n0,0,{cell}\n1,2,3\n")
+    assert_one_error_line(*run(capsys, "verify", str(model), "--trajectory", str(csv)))
+
+
+# ------------------------------------------------------- compute once
+
+
+def test_analyze_computes_each_spectrum_once(monkeypatch, capsys):
+    """One Karp run per matrix (calA, calB) and one normalized closure per
+    matrix, plus the closure of calB^3 that the slowest search needs."""
+    import sys
+
+    calls = {"max_cycle_mean": 0, "kleene_plus": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        original = getattr(sys.modules["ptegkit.spectral"], name)
+        for module in [m for k, m in sys.modules.items() if k.startswith("ptegkit")]:
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counting(name, original))
+    code, _, _ = run(capsys, "analyze", ELECTRO)
+    assert code == 0
+    assert calls["max_cycle_mean"] <= 2 and calls["kleene_plus"] <= 3

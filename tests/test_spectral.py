@@ -181,6 +181,13 @@ def test_critical_nodes_are_unit_diagonal_of_normalized_plus():
         assert critical_graph(a).nodes == expected
 
 
+def test_min_plus_critical_graph_is_that_of_the_negation():
+    rng = random.Random(31)
+    for _ in range(20):
+        b = random_irreducible(rng, 4, MINPLUS)
+        assert critical_graph(b) == critical_graph(negate(b)) == spectral_report(b).critical
+
+
 def test_acyclic_critical_graph_raises():
     with pytest.raises(NoCircuit):
         critical_graph(M([[E, 1], [E, E]]))
