@@ -91,8 +91,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _read_text(path: str) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise ModelError(f"{path} is not a UTF-8 text file") from None
+
+
 def _load_model(path: str) -> PtegModel:
-    return parse_model(Path(path).read_text(encoding="utf-8"))
+    return parse_model(_read_text(path))
 
 
 def _load_valid_model(path: str) -> PtegModel:
@@ -252,8 +259,8 @@ def parse_trajectory_csv(text: str, names: tuple[str, ...]) -> Trajectory:
             states.append(tuple(parse_number(c) for c in cells[1:]))
         except (ValueError, ZeroDivisionError, TropicalError):
             raise ModelError(f"bad number in CSV row {ln!r}") from None
-    if not states:
-        raise ModelError("trajectory CSV has no data rows")
+    if len(states) < 2:
+        raise ModelError("trajectory CSV needs at least two data rows")
     try:
         return Trajectory(states=tuple(states), mode=TrajectoryMode.CUSTOM)
     except ValueError as exc:  # a non-finite date
@@ -263,7 +270,7 @@ def parse_trajectory_csv(text: str, names: tuple[str, ...]) -> Trajectory:
 def cmd_verify(args: argparse.Namespace) -> int:
     model = _load_valid_model(args.path)
     bundle = extract_matrices(normalize(model))
-    traj = parse_trajectory_csv(Path(args.trajectory).read_text(encoding="utf-8"), bundle.index_map)
+    traj = parse_trajectory_csv(_read_text(args.trajectory), bundle.index_map)
     violations = verify_trajectory(bundle, traj)
     for v in violations:
         print(v.describe())

@@ -6,10 +6,11 @@ matrix.  Internals run on exact rationals so that criticality tests and
 eigen-residuals are exact even when the cycle mean is not an integer.
 
 All of these are read off one spectrum per matrix (`_Spectrum`): the
-exact max-plus matrix, its irreducibility, its cycle mean rho from one
-Karp run, and, built on first use, the matrix normalized by rho and its
-plus-closure, from which the critical graph, cyclicity and eigenvectors
-follow.  The spectrum keeps these, the module keeps nothing; every
+exact max-plus matrix, its irreducibility (by reachability from node 0),
+its cycle mean rho from one Karp run over the whole graph, and, built on
+first use, the matrix normalized by rho, its plus-closure, and from that
+closure the critical graph (components included) and the eigenvector
+basis.  The spectrum keeps these, the module keeps nothing; every
 function below accepts a matrix or a spectrum, so a caller that asks
 several questions of one matrix builds its spectrum once.  Min-plus
 matrices enter through negation duality at the spectrum's constructor
@@ -60,12 +61,6 @@ class PrecedenceGraph:
     node_count: int
     arcs: tuple[tuple[int, int, Number], ...]
 
-    def successors(self) -> list[list[tuple[int, Number]]]:
-        out: list[list[tuple[int, Number]]] = [[] for _ in range(self.node_count)]
-        for src, dst, w in self.arcs:
-            out[src].append((dst, w))
-        return out
-
 
 @dataclass(frozen=True)
 class CriticalGraph:
@@ -108,58 +103,29 @@ def build_graph(a: TropicalMatrix) -> PrecedenceGraph:
     return PrecedenceGraph(a.rows, tuple(arcs))
 
 
-def _sccs(n: int, succ: list[list[tuple[int, Number]]]) -> list[list[int]]:
-    """Tarjan's strongly connected components, iterative."""
-    index = [-1] * n
-    low = [0] * n
-    on_stack = [False] * n
-    stack: list[int] = []
-    result: list[list[int]] = []
-    counter = 0
-    for root in range(n):
-        if index[root] != -1:
-            continue
-        work = [(root, 0)]
-        while work:
-            v, pi = work[-1]
-            if pi == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            advanced = False
-            while pi < len(succ[v]):
-                w = succ[v][pi][0]
-                pi += 1
-                if index[w] == -1:
-                    work[-1] = (v, pi)
-                    work.append((w, 0))
-                    advanced = True
-                    break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                result.append(comp)
-            if work:
-                u, _ = work[-1]
-                low[u] = min(low[u], low[v])
-    return result
-
-
 def is_irreducible(a: TropicalMatrix) -> bool:
-    """True when the precedence graph is strongly connected."""
+    """True when the precedence graph is strongly connected, that is when
+    node 0 reaches every node along the arcs and against them."""
     g = build_graph(a)
-    return len(_sccs(g.node_count, g.successors())) == 1
+    n = g.node_count
+    forward: list[list[int]] = [[] for _ in range(n)]
+    backward: list[list[int]] = [[] for _ in range(n)]
+    for s, d, _ in g.arcs:
+        forward[s].append(d)
+        backward[d].append(s)
+    return n > 0 and _reach_count(forward) == _reach_count(backward) == n
+
+
+def _reach_count(succ: list[list[int]]) -> int:
+    """Number of nodes reachable from node 0 in an adjacency list."""
+    seen = {0}
+    stack = [0]
+    while stack:
+        for w in succ[stack.pop()]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return len(seen)
 
 
 def _exact(v: Number) -> Number:
@@ -175,20 +141,16 @@ def _simplify(v: Number) -> Number:
     return v
 
 
-def _karp(nodes: list[int], arcs: list[tuple[int, int, Number]]) -> Fraction | None:
-    """Maximum cycle mean of one strongly connected subgraph.
+def _karp(n: int, arcs: Sequence[tuple[int, int, Number]]) -> Fraction | None:
+    """Maximum cycle mean of a digraph on nodes 0..n-1; None when acyclic.
 
-    Classic dynamic program over walk lengths with every node as a
-    source: F[k][v] is the best weight of a k-arc walk ending in v, and
-    the answer is max over v of min over k of (F[n][v] - F[k][v]) / (n - k).
+    Classic dynamic program over walk lengths: F[k][v] is the best weight
+    of a k-arc walk ending in v, and the answer is max over v of min over k
+    of (F[n][v] - F[k][v]) / (n - k).  Every node starts at weight 0, which
+    is Karp's extra source joined to all nodes, so one run covers a graph
+    that is not strongly connected.
     """
-    n = len(nodes)
-    if n == 0:
-        return None
-    remap = {node: idx for idx, node in enumerate(nodes)}
-    local = [(remap[s], remap[d], _exact(w)) for (s, d, w) in arcs]
-    if not local:
-        return None
+    local = [(s, d, _exact(w)) for (s, d, w) in arcs]
     F: list[list[Number]] = [[Fraction(0)] * n]
     for k in range(1, n + 1):
         prev = F[k - 1]
@@ -200,40 +162,24 @@ def _karp(nodes: list[int], arcs: list[tuple[int, int, Number]]) -> Fraction | N
             if cur[d] == NEG_INF or v > cur[d]:
                 cur[d] = v
         F.append(cur)
-    best: Fraction | None = None
-    for v in range(n):
-        if F[n][v] == NEG_INF:
-            continue
-        worst: Fraction | None = None
-        for k in range(n):
-            if F[k][v] == NEG_INF:
-                continue
-            mean = Fraction(F[n][v] - F[k][v], n - k)
-            if worst is None or mean < worst:
-                worst = mean
-        if worst is not None and (best is None or worst > best):
-            best = worst
-    return best
+    means = [
+        min(Fraction(F[n][v] - F[k][v], n - k) for k in range(n) if F[k][v] != NEG_INF)
+        for v in range(n)
+        if F[n][v] != NEG_INF
+    ]
+    return max(means, default=None)
 
 
 def max_cycle_mean(a: TropicalMatrix) -> Number | None:
     """Maximum mean weight over the circuits of the precedence graph.
 
-    Computed by Karp's algorithm per strongly connected component and
-    maximized over components; None when the graph is acyclic.
+    Computed by one run of Karp's algorithm over the whole graph; None
+    when the graph is acyclic.
     """
     if a.tag is not MAXPLUS:
         raise TropicalError("max_cycle_mean expects a max-plus matrix")
     g = build_graph(a)
-    succ = g.successors()
-    best: Fraction | None = None
-    for comp in _sccs(g.node_count, succ):
-        inside = set(comp)
-        arcs = [(s, d, w) for (s, d, w) in g.arcs if s in inside and d in inside]
-        mean = _karp(comp, arcs)
-        if mean is not None and (best is None or mean > best):
-            best = mean
-    return _simplify(best) if best is not None else None
+    return _simplify(_karp(g.node_count, g.arcs))
 
 
 def min_cycle_mean(b: TropicalMatrix) -> Number | None:
@@ -282,6 +228,31 @@ class _Spectrum:
         """Plus-closure of the normalized matrix."""
         return kleene_plus(self.normalized)
 
+    @cached_property
+    def critical(self) -> CriticalGraph:
+        """The critical graph of the max-plus side; see `critical_graph`."""
+        shifted, closure = self.normalized, self.closure
+        nodes = tuple(i for i in range(shifted.rows) if closure[i, i] == UNIT)
+        arcs = tuple(sorted(
+            (j, i)
+            for i in nodes
+            for j in nodes
+            if is_finite(shifted[i, j]) and shifted[i, j] + (UNIT if i == j else closure[j, i]) == UNIT
+        ))
+        comps: list[tuple[int, ...]] = []
+        for i in nodes:
+            if not any(i in c for c in comps):
+                comps.append(tuple(j for j in nodes if closure[i, j] + closure[j, i] == UNIT))
+        cyclicities = tuple(_component_cyclicity(c, arcs) for c in comps)
+        return CriticalGraph(nodes, arcs, tuple(comps), cyclicities)
+
+    @cached_property
+    def basis(self) -> tuple[tuple[Number, ...], ...]:
+        """Eigenvector basis, in the input's semiring, of an irreducible matrix."""
+        if not self.irreducible:
+            raise NotIrreducible("eigenvector basis needs a strongly connected graph")
+        return tuple(self.vector(v) for v in _critical_columns(self.closure))
+
     def vector(self, v: Sequence[Number]) -> tuple[Number, ...]:
         """A vector of the max-plus side, mapped back to the input's semiring."""
         return tuple(_simplify(self.sign * x) for x in v)
@@ -297,41 +268,20 @@ def critical_graph(a: TropicalMatrix | _Spectrum) -> CriticalGraph:
     After normalizing by the extremal cycle mean, node i is critical when
     the plus-closure has 0 at (i, i), and arc j->i is critical when the
     normalized weight of the arc plus the best return path closes a
-    zero-weight circuit.  A min-plus matrix has the critical graph of its
-    negation.
+    zero-weight circuit.  Two critical nodes i and j share a component
+    when the closure closes a zero-weight circuit through both, that is
+    when closure[i, j] + closure[j, i] = 0.  A min-plus matrix has the
+    critical graph of its negation.
     """
-    spec = _spectrum(a)
-    shifted, closure = spec.normalized, spec.closure
-    n = shifted.rows
-    nodes = tuple(i for i in range(n) if closure[i, i] == UNIT)
-    node_set = set(nodes)
-    arcs = [
-        (j, i)
-        for i in nodes
-        for j in nodes
-        if is_finite(shifted[i, j]) and shifted[i, j] + (UNIT if i == j else closure[j, i]) == UNIT
-    ]
-    comp_succ: list[list[tuple[int, Number]]] = [[] for _ in range(n)]
-    arc_set = set(arcs)
-    for s, d in arcs:
-        comp_succ[s].append((d, 0))
-    comps = [
-        sorted(c)
-        for c in _sccs(n, comp_succ)
-        if set(c) <= node_set and (len(c) > 1 or (c[0], c[0]) in arc_set)
-    ]
-    comps.sort()
-    cyclicities = tuple(_component_cyclicity(c, arcs) for c in comps)
-    return CriticalGraph(nodes, tuple(sorted(arcs)), tuple(tuple(c) for c in comps), cyclicities)
+    return _spectrum(a).critical
 
 
 def _component_cyclicity(component: Sequence[int], arcs: Sequence[tuple[int, int]]) -> int:
-    """Gcd of the circuit lengths inside one strongly connected component,
-    computed from search-level differences along its arcs."""
-    inside = set(component)
+    """Gcd of the circuit lengths inside one critical component, computed from
+    search-level differences along its arcs, none of which leaves it."""
     succ: dict[int, list[int]] = {v: [] for v in component}
     for s, d in arcs:
-        if s in inside and d in inside:
+        if s in succ:
             succ[s].append(d)
     root = component[0]
     level = {root: 0}
@@ -362,7 +312,7 @@ def eigenvectors(a: TropicalMatrix | _Spectrum) -> list[tuple[Number, ...]]:
     """
     if a.tag is not MAXPLUS:
         raise TropicalError("eigenvectors expects a max-plus matrix; see min_eigenvectors")
-    return _basis(_spectrum(a))
+    return list(_spectrum(a).basis)
 
 
 def min_eigenvectors(b: TropicalMatrix | _Spectrum) -> list[tuple[Number, ...]]:
@@ -373,13 +323,7 @@ def min_eigenvectors(b: TropicalMatrix | _Spectrum) -> list[tuple[Number, ...]]:
     """
     if b.tag is not MINPLUS:
         raise TropicalError("min_eigenvectors expects a min-plus matrix")
-    return _basis(_spectrum(b))
-
-
-def _basis(spec: _Spectrum) -> list[tuple[Number, ...]]:
-    if not spec.irreducible:
-        raise NotIrreducible("eigenvector basis needs a strongly connected graph")
-    return [spec.vector(v) for v in _critical_columns(spec.closure)]
+    return list(_spectrum(b).basis)
 
 
 def _critical_columns(closure: TropicalMatrix, keep: Callable | None = None) -> list[tuple[Number, ...]]:
@@ -398,21 +342,9 @@ def _critical_columns(closure: TropicalMatrix, keep: Callable | None = None) -> 
 def _proportional(u: Sequence[Number], v: Sequence[Number]) -> bool:
     """Tropical proportionality: equal sentinel patterns and a constant
     finite difference."""
-    diff: Number | None = None
-    for x, y in zip(u, v):
-        xf, yf = is_finite(x), is_finite(y)
-        if xf != yf:
-            return False
-        if not xf:
-            if x != y:
-                return False
-            continue
-        d = x - y
-        if diff is None:
-            diff = d
-        elif d != diff:
-            return False
-    return True
+    if any(is_finite(x) != is_finite(y) or not is_finite(x) and x != y for x, y in zip(u, v)):
+        return False
+    return len({x - y for x, y in zip(u, v) if is_finite(x)}) <= 1
 
 
 def periodic_eigenvectors(a: TropicalMatrix | _Spectrum, p: int) -> list[tuple[Number, ...]]:
@@ -467,7 +399,7 @@ def spectral_report(a: TropicalMatrix | _Spectrum, coupling_cap: int | None = No
     irr = spec.irreducible
     return SpectralReport(
         eigenvalue=spec.eigenvalue,
-        eigenvectors=tuple(_basis(spec)) if irr else (),
+        eigenvectors=spec.basis if irr else (),
         cyclicity=lcm(*crit.cyclicities),
         critical=crit,
         coupling_index=coupling_index(spec, coupling_cap) if irr else None,

@@ -246,17 +246,8 @@ def conjugate(a: TropicalMatrix) -> TropicalMatrix:
     Finite entries are negated, NEG_INF maps to POS_INF and vice versa.
     Realizes residuation as a dual product: A-under-x equals A# (x)' x.
     """
-    out: list[Number] = []
-    for j in range(a.cols):
-        for i in range(a.rows):
-            v = a[i, j]
-            if v == NEG_INF:
-                out.append(POS_INF)
-            elif v == POS_INF:
-                out.append(NEG_INF)
-            else:
-                out.append(-v)
-    return TropicalMatrix(a.cols, a.rows, a.tag.dual, tuple(out))
+    neg = negate(a)
+    return TropicalMatrix(a.cols, a.rows, neg.tag, tuple(v for j in range(a.cols) for v in neg.col(j)))
 
 
 def negate(a: TropicalMatrix) -> TropicalMatrix:

@@ -132,6 +132,36 @@ def critical_arcs_by_enumeration(rows):
     return arcs
 
 
+def strongly_connected(rows, maxplus=True):
+    """True when every node reaches every node along the arcs, by a plain
+    boolean transitive closure; a graph without nodes is not connected."""
+    n = len(rows)
+    zero = NEG if maxplus else POS
+    reach = [[i == j or rows[j][i] != zero for j in range(n)] for i in range(n)]
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                if reach[i][k] and reach[k][j]:
+                    reach[i][j] = True
+    return n > 0 and all(all(row) for row in reach)
+
+
+def critical_components_by_enumeration(rows, maxplus=True):
+    """Node sets of the circuits of extremal mean, merged wherever two of
+    them share a node, as sorted tuples in ascending order."""
+    rho = extremal_cycle_mean(rows, maxplus)
+    comps = []
+    for arc_list, mean in circuit_means(rows, maxplus):
+        if mean != rho:
+            continue
+        nodes = {node for node, _ in arc_list}
+        for comp in [c for c in comps if c & nodes]:
+            nodes |= comp
+            comps.remove(comp)
+        comps.append(nodes)
+    return sorted(tuple(sorted(c)) for c in comps)
+
+
 def def8_admissible(bundle, states):
     """Raw per-step admissibility on plain tuples, written from scratch."""
     names = bundle.index_map

@@ -236,15 +236,38 @@ def test_malformed_csv_cell_is_an_input_error(tmp_path, capsys, cell):
     assert_one_error_line(*run(capsys, "verify", str(model), "--trajectory", str(csv)))
 
 
+def test_non_utf8_model_is_an_input_error(tmp_path, capsys):
+    model = tmp_path / "bin.pteg"
+    model.write_bytes(b"\xff\xfe")
+    assert_one_error_line(*run(capsys, "analyze", str(model)))
+
+
+def test_non_utf8_csv_is_an_input_error(tmp_path, capsys):
+    model = tmp_path / "ok.pteg"
+    model.write_text(TWO_CYCLE.format("1 2"))
+    csv = tmp_path / "bin.csv"
+    csv.write_bytes(b"k,a,b\n0,0,\xff\n1,2,3\n")
+    assert_one_error_line(*run(capsys, "verify", str(model), "--trajectory", str(csv)))
+
+
+def test_single_state_csv_is_an_input_error(tmp_path, capsys):
+    model = tmp_path / "ok.pteg"
+    model.write_text(TWO_CYCLE.format("1 2"))
+    csv = tmp_path / "one.csv"
+    csv.write_text("k,a,b\n0,0,1\n")
+    assert_one_error_line(*run(capsys, "verify", str(model), "--trajectory", str(csv)))
+
+
 # ------------------------------------------------------- compute once
 
 
 def test_analyze_computes_each_spectrum_once(monkeypatch, capsys):
-    """One Karp run per matrix (calA, calB) and one normalized closure per
-    matrix, plus the closure of calB^3 that the slowest search needs."""
+    """One Karp run per matrix (calA, calB), one normalized closure per
+    matrix, plus the closure of calB^3 that the slowest search needs, and
+    one critical graph per matrix."""
     import sys
 
-    calls = {"max_cycle_mean": 0, "kleene_plus": 0}
+    calls = {"max_cycle_mean": 0, "kleene_plus": 0, "CriticalGraph": 0}
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
@@ -260,3 +283,4 @@ def test_analyze_computes_each_spectrum_once(monkeypatch, capsys):
     code, _, _ = run(capsys, "analyze", ELECTRO)
     assert code == 0
     assert calls["max_cycle_mean"] <= 2 and calls["kleene_plus"] <= 3
+    assert calls["CriticalGraph"] <= 2

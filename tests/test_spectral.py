@@ -35,7 +35,13 @@ from ptegkit import (
 )
 
 from conftest import random_irreducible, random_matrix
-from oracles import critical_arcs_by_enumeration, extremal_cycle_mean, trace_formula_mean
+from oracles import (
+    critical_arcs_by_enumeration,
+    critical_components_by_enumeration,
+    extremal_cycle_mean,
+    strongly_connected,
+    trace_formula_mean,
+)
 
 M = lambda rows, tag=MAXPLUS: TropicalMatrix.from_rows(rows, tag)
 E = NEG_INF
@@ -186,6 +192,32 @@ def test_min_plus_critical_graph_is_that_of_the_negation():
     for _ in range(20):
         b = random_irreducible(rng, 4, MINPLUS)
         assert critical_graph(b) == critical_graph(negate(b)) == spectral_report(b).critical
+
+
+def test_irreducibility_and_critical_components_match_oracles():
+    """Reachability and closure-derived components against plain boolean
+    reachability and the union of enumerated extremal circuits, on
+    matrices of both tags with small weight ranges so that means tie."""
+    rng = random.Random(37)
+    seen = {"reducible": 0, "irreducible": 0, "multi_component": 0}
+    for trial in range(160):
+        tag = (MAXPLUS, MINPLUS)[trial % 2]
+        n = rng.randint(1, 6)
+        width = rng.choice((1, 3, 9))
+        if trial % 3 == 0:
+            a = random_irreducible(rng, n, tag, lo=-width, hi=width)
+        else:
+            a = random_matrix(rng, n, tag, rng.choice((0.2, 0.4, 0.7)), -width, width)
+        rows = a.to_rows()
+        irreducible = is_irreducible(a)
+        assert irreducible == strongly_connected(rows, tag is MAXPLUS)
+        seen["irreducible" if irreducible else "reducible"] += 1
+        if extremal_cycle_mean(rows, tag is MAXPLUS) is None:
+            continue
+        components = critical_graph(a).components
+        assert list(components) == critical_components_by_enumeration(rows, tag is MAXPLUS)
+        seen["multi_component"] += len(components) > 1
+    assert min(seen.values()) >= 10, seen
 
 
 def test_acyclic_critical_graph_raises():
