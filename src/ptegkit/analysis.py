@@ -148,7 +148,7 @@ def build_combined(bundle: MatrixBundle) -> CombinedModel:
             "B* diverges: the token-free constraint graph has a positive circuit"
         ) from exc
     cal_a = mat_mul(mat_mul(bstar, bundle.A), bstar)
-    bsharp_star = kleene_star(conjugate(bundle.B))
+    bsharp_star = conjugate(bstar)  # (B*)# = (B#)*
     cal_b = mat_mul(mat_mul(bsharp_star, bundle.C), bsharp_star)
     h = mat_add(mat_mul(conjugate(cal_b), cal_a), bundle.B)
     try:

@@ -200,8 +200,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_trajectory(args: argparse.Namespace) -> int:
-    if args.steps < 0:
-        raise ModelError("--steps must be nonnegative")
+    if args.steps < 1:  # verify needs two states, so every CSV written can be verified
+        raise ModelError("--steps must be at least 1")
     cm = _combined(args.path)
     rep = existence_report(cm)
     if rep.verdict == ExistenceReport.NO_SOLUTION:

@@ -2,8 +2,8 @@
 
 Cycle means, eigenvalues, eigenvector bases, critical graphs, cyclicity
 and coupling (transient) indices, all on the precedence graph of a square
-matrix.  Internals run on exact rationals so that criticality tests and
-eigen-residuals are exact even when the cycle mean is not an integer.
+matrix.  Arithmetic is exact: ints stay ints; Fractions only where the
+data or rho needs them, so criticality and eigen-residuals are exact.
 
 All of these are read off one spectrum per matrix (`_Spectrum`): the
 exact max-plus matrix, its irreducibility (by reachability from node 0),
@@ -129,10 +129,10 @@ def _reach_count(succ: list[list[int]]) -> int:
 
 
 def _exact(v: Number) -> Number:
-    """Finite payloads become Fractions; sentinels pass through."""
-    if not is_finite(v):
-        return v
-    return Fraction(v)
+    """Finite floats become Fractions; everything else passes through."""
+    if isinstance(v, float) and is_finite(v):
+        return Fraction(v)
+    return v
 
 
 def _simplify(v: Number) -> Number:
@@ -151,7 +151,7 @@ def _karp(n: int, arcs: Sequence[tuple[int, int, Number]]) -> Fraction | None:
     that is not strongly connected.
     """
     local = [(s, d, _exact(w)) for (s, d, w) in arcs]
-    F: list[list[Number]] = [[Fraction(0)] * n]
+    F: list[list[Number]] = [[0] * n]
     for k in range(1, n + 1):
         prev = F[k - 1]
         cur: list[Number] = [NEG_INF] * n
@@ -212,11 +212,11 @@ class _Spectrum:
         """Cycle mean in the semiring of the input matrix."""
         return None if self.rho is None else _simplify(self.sign * self.rho)
 
-    def mean(self, message: str = "matrix has an acyclic precedence graph") -> Fraction:
-        """rho as a Fraction; NoCircuit with the message when there is none."""
+    def mean(self, message: str = "matrix has an acyclic precedence graph") -> Number:
+        """rho, an int or a Fraction; NoCircuit with the message when there is none."""
         if self.rho is None:
             raise NoCircuit(message)
-        return Fraction(self.rho)
+        return self.rho
 
     @cached_property
     def normalized(self) -> TropicalMatrix:

@@ -273,38 +273,37 @@ def retag(a: TropicalMatrix, tag: SemiringTag) -> TropicalMatrix:
 
 
 def kleene_star(a: TropicalMatrix) -> TropicalMatrix:
-    """Sum of the first d-1 powers plus the identity, d the dimension.
+    """Identity plus the Floyd-Warshall closure of kleene_plus, in O(d^3).
 
-    Raises StarDivergence when the precedence graph carries a circuit of
-    positive weight (max-plus) or negative weight (min-plus), in which
-    case the closure would be unbounded.
+    Raises StarDivergence, read off the closure's diagonal, when a circuit
+    has positive weight (max-plus) or negative weight (min-plus).
     """
     if not a.is_square:
         raise DimensionMismatch("star of a non-square matrix")
-    n = a.rows
-    star = TropicalMatrix.identity(n, a.tag)
-    power = star
-    for _ in range(max(0, n - 1)):
-        power = mat_mul(power, a)
-        star = mat_add(star, power)
-    _check_plus_diagonal(mat_mul(a, star))
-    return star
+    return mat_add(TropicalMatrix.identity(a.rows, a.tag), _plus_closure(a))
 
 
 def kleene_plus(a: TropicalMatrix) -> TropicalMatrix:
-    """Sum of the powers from 1 to d; equals a (x) kleene_star(a)."""
+    """Floyd-Warshall closure, equal to a (x) kleene_star(a); diverges alike."""
     if not a.is_square:
         raise DimensionMismatch("plus-closure of a non-square matrix")
-    plus = mat_mul(a, kleene_star(a))
-    return plus
+    return _plus_closure(a)
 
 
-def _check_plus_diagonal(plus: TropicalMatrix) -> None:
-    maxplus = plus.tag is MAXPLUS
-    for i in range(plus.rows):
-        d = plus[i, i]
-        if (maxplus and d > UNIT) or (not maxplus and d < UNIT):
+def _plus_closure(a: TropicalMatrix) -> TropicalMatrix:
+    """Pivot k lets entry (i, j), the best walk from j to i, pass through k;
+    a diagonal entry that addition with UNIT moves off UNIT diverges."""
+    tag = a.tag
+    d = a.to_rows()
+    for k, pivot in enumerate(d):
+        for row in d:
+            rk = row[k]
+            for j, kj in enumerate(pivot):
+                row[j] = scalar_add(row[j], scalar_mul(rk, kj, tag), tag)
+    for i, row in enumerate(d):
+        if scalar_add(row[i], UNIT, tag) != UNIT:
             raise StarDivergence(i)
+    return TropicalMatrix.from_rows(d, tag)
 
 
 def residual_left(a: TropicalMatrix, y: TropicalMatrix) -> TropicalMatrix:

@@ -25,6 +25,7 @@ from ptegkit import (
     extract_matrices,
     fastest_init,
     in_image_star,
+    is_finite,
     is_irreducible,
     kleene_star,
     leq,
@@ -84,6 +85,28 @@ def test_combined_recomputable_from_bundle(electro_cm):
     assert electro_cm.calA == mat_mul(mat_mul(bstar, bundle.A), bstar)
     bshs = kleene_star(conjugate(bundle.B))
     assert electro_cm.calB == mat_mul(mat_mul(bshs, bundle.C), bshs)
+
+
+def test_build_combined_takes_one_star_of_b(monkeypatch, electro_bundle):
+    """B* and H* only: B#* is the conjugate of B*, not a second closure."""
+    import ptegkit.analysis
+
+    calls = []
+
+    def counting(a):
+        calls.append(a)
+        return kleene_star(a)
+
+    monkeypatch.setattr(ptegkit.analysis, "kleene_star", counting)
+    build_combined(electro_bundle)
+    assert len(calls) == 2
+
+
+def test_integer_model_keeps_integer_closures(electro_cm):
+    """Integral cycle means leave the normalized closures integer."""
+    for spec in (electro_cm.calA_spectrum, electro_cm.calB_spectrum):
+        finite = [v for v in spec.closure.entries if is_finite(v)]
+        assert finite and all(type(v) is int for v in finite)
 
 
 # --------------------------------------------------------- existence report

@@ -258,6 +258,11 @@ def test_single_state_csv_is_an_input_error(tmp_path, capsys):
     assert_one_error_line(*run(capsys, "verify", str(model), "--trajectory", str(csv)))
 
 
+def test_zero_steps_is_an_input_error(capsys):
+    """A one-state trajectory could not be verified, so it is not written."""
+    assert_one_error_line(*run(capsys, "trajectory", ELECTRO, "--mode", "fastest", "--steps", "0"))
+
+
 # ------------------------------------------------------- compute once
 
 

@@ -19,6 +19,7 @@ from ptegkit import (
     TropicalMatrix,
     conjugate,
     format_matrix,
+    is_finite,
     kleene_plus,
     kleene_star,
     leq,
@@ -33,7 +34,7 @@ from ptegkit import (
 )
 
 from conftest import random_matrix, random_nondiverging
-from oracles import naive_mul, naive_star
+from oracles import elementary_circuits, naive_mul, naive_star
 
 M = lambda rows, tag=MAXPLUS: TropicalMatrix.from_rows(rows, tag)
 E = NEG_INF
@@ -215,6 +216,36 @@ def test_plus_equals_matrix_times_star():
     for _ in range(30):
         a = random_nondiverging(rng, 4)
         assert kleene_plus(a) == mat_mul(a, kleene_star(a))
+
+
+def test_star_of_mixed_sign_matrices_matches_oracle():
+    """Positive arcs without a positive circuit (max-plus), negative arcs
+    without a negative one (min-plus), and top entries off or on circuits:
+    the closure is the truncated power sum, or both closures diverge."""
+    rng = random.Random(24)
+    seen = {"unsafe_arc": 0, "top": 0, "diverges": 0}
+    for trial in range(400):
+        tag = MAXPLUS if trial % 2 else MINPLUS
+        maxplus = tag is MAXPLUS
+        n = rng.randint(1, 5)
+        # lean the weights towards the safe sign so both outcomes are common
+        lo, hi = (-9, rng.choice((1, 2, 9))) if maxplus else (-rng.choice((1, 2, 9)), 9)
+        rows = random_matrix(rng, n, tag, rng.choice([0.3, 0.5, 0.8]), lo, hi).to_rows()
+        if trial // 2 % 2:
+            rows[rng.randrange(n)][rng.randrange(n)] = tag.top
+        a = TropicalMatrix.from_rows(rows, tag)
+        if any(w > 0 if maxplus else w < 0 for _, w in elementary_circuits(rows, maxplus)):
+            seen["diverges"] += 1
+            with pytest.raises(StarDivergence):
+                kleene_star(a)
+            with pytest.raises(StarDivergence):
+                kleene_plus(a)
+            continue
+        seen["top"] += tag.top in a.entries
+        seen["unsafe_arc"] += any(is_finite(v) and (v > 0 if maxplus else v < 0) for v in a.entries)
+        assert kleene_star(a).to_rows() == naive_star(rows, 2 * n, maxplus)
+        assert kleene_plus(a) == mat_mul(a, kleene_star(a))
+    assert min(seen.values()) >= 20, seen
 
 
 def test_plus_of_epsilon_matrix():
