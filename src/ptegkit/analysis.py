@@ -236,7 +236,7 @@ def _candidate_pool(vectors: list[tuple[Number, ...]]) -> list[tuple[Number, ...
     pool: list[tuple[Number, ...]] = []
     for vec in vectors:
         m = min((x for x in vec if is_finite(x)), default=0)
-        shifted = tuple(x - m if is_finite(x) else x for x in vec)
+        shifted = tuple(x - m for x in vec)
         if shifted not in pool:
             pool.append(shifted)
     return pool

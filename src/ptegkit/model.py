@@ -97,6 +97,8 @@ def parse_model(text: str) -> PtegModel:
             if len(fields) < 2:
                 raise ModelError("expected at least one transition name", lineno)
             transitions = fields[1:]
+            for t in transitions:
+                _check_name("transition", t, lineno)
             dupes = {t for t in transitions if transitions.count(t) > 1}
             if dupes:
                 raise ModelError(f"duplicate transition name {sorted(dupes)[0]!r}", lineno)
@@ -114,6 +116,7 @@ def parse_model(text: str) -> PtegModel:
                     lineno,
                 )
             pname, src, dst = fields[1], fields[3], fields[5]
+            _check_name("place", pname, lineno)
             if pname in seen_places:
                 raise ModelError(f"duplicate place name {pname!r}", lineno)
             seen_places.add(pname)
@@ -145,6 +148,13 @@ def parse_model(text: str) -> PtegModel:
     if not transitions:
         raise ModelError("missing or empty 'transitions' line")
     return PtegModel(name, tuple(transitions), tuple(places))
+
+
+def _check_name(kind: str, name: str, line: int) -> None:
+    """Names head the columns of a trajectory CSV (a place's synthetic
+    transitions as '<place>#k'), so none may hold a comma."""
+    if "," in name:
+        raise ModelError(f"{kind} name {name!r} contains a comma", line)
 
 
 def serialize_model(m: PtegModel) -> str:

@@ -21,6 +21,7 @@ back.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -148,7 +149,8 @@ def _karp(n: int, arcs: Sequence[tuple[int, int, Number]]) -> Fraction | None:
     of a k-arc walk ending in v, and the answer is max over v of min over k
     of (F[n][v] - F[k][v]) / (n - k).  Every node starts at weight 0, which
     is Karp's extra source joined to all nodes, so one run covers a graph
-    that is not strongly connected.
+    that is not strongly connected, and a node with an n-arc walk has a
+    k-arc walk, its suffix, for every k.
     """
     local = [(s, d, _exact(w)) for (s, d, w) in arcs]
     F: list[list[Number]] = [[0] * n]
@@ -156,16 +158,14 @@ def _karp(n: int, arcs: Sequence[tuple[int, int, Number]]) -> Fraction | None:
         prev = F[k - 1]
         cur: list[Number] = [NEG_INF] * n
         for s, d, w in local:
-            if prev[s] == NEG_INF:
-                continue
             v = prev[s] + w
-            if cur[d] == NEG_INF or v > cur[d]:
+            if v > cur[d]:
                 cur[d] = v
         F.append(cur)
     means = [
-        min(Fraction(F[n][v] - F[k][v], n - k) for k in range(n) if F[k][v] != NEG_INF)
+        min(Fraction(F[n][v] - F[k][v], n - k) for k in range(n))
         for v in range(n)
-        if F[n][v] != NEG_INF
+        if is_finite(F[n][v])
     ]
     return max(means, default=None)
 
@@ -237,7 +237,7 @@ class _Spectrum:
             (j, i)
             for i in nodes
             for j in nodes
-            if is_finite(shifted[i, j]) and shifted[i, j] + (UNIT if i == j else closure[j, i]) == UNIT
+            if shifted[i, j] + (UNIT if i == j else closure[j, i]) == UNIT
         ))
         comps: list[tuple[int, ...]] = []
         for i in nodes:
@@ -381,13 +381,14 @@ def coupling_index(a: TropicalMatrix | _Spectrum, cap: int | None = None) -> int
     exact = spec.matrix
     if cap is None:
         cap = 10 * exact.rows * exact.rows
-    step = mat_pow(exact, c)
     shift = rho * c
-    power = TropicalMatrix.identity(exact.rows, MAXPLUS)
-    for n in range(cap + 1):
-        if mat_mul(power, step).entries == scale(power, shift).entries:
+    window = deque([TropicalMatrix.identity(exact.rows, MAXPLUS)], maxlen=c + 1)
+    for _ in range(c):
+        window.append(mat_mul(window[-1], exact))
+    for n in range(cap + 1):  # window holds a^n .. a^(n+c)
+        if window[-1].entries == scale(window[0], shift).entries:
             return n
-        power = mat_mul(power, exact)
+        window.append(mat_mul(window[-1], exact))
     return None
 
 

@@ -7,8 +7,12 @@ acts as the neutral element and which one absorbs depends on the semiring:
 * MAXPLUS: addition is max, multiplication is +, zero is -inf, top is +inf.
 * MINPLUS: addition is min, multiplication is +, zero is +inf, top is -inf.
 
-The two semirings disagree on -inf + inf, so products are evaluated by
-explicit case analysis, never by native float rules.  All matrices are
+One rule gives the product in both: it is the semiring zero when either
+factor is the zero (the zero absorbs, even the top), and otherwise it is
+native +.  Native + is exact on everything else, because an infinity
+plus a finite value or plus the same infinity is that infinity; the one
+case where it would give NaN, zero plus top, is the case the rule takes
+first.  Every kernel loop below is built on that rule.  All matrices are
 immutable values; every operation returns a fresh matrix.
 """
 
@@ -81,22 +85,10 @@ def scalar_add(a: Number, b: Number, tag: SemiringTag) -> Number:
 
 
 def scalar_mul(a: Number, b: Number, tag: SemiringTag) -> Number:
-    """Semiring multiplication with the absorption rule of the tag.
-
-    The semiring zero absorbs: -inf wins against +inf under MAXPLUS and
-    +inf wins against -inf under MINPLUS.
-    """
-    if tag is MAXPLUS:
-        if a == NEG_INF or b == NEG_INF:
-            return NEG_INF
-        if a == POS_INF or b == POS_INF:
-            return POS_INF
-    else:
-        if a == POS_INF or b == POS_INF:
-            return POS_INF
-        if a == NEG_INF or b == NEG_INF:
-            return NEG_INF
-    return a + b
+    """Semiring multiplication: the zero when either factor is the zero
+    (-inf wins against +inf under MAXPLUS, +inf against -inf under
+    MINPLUS), otherwise native +."""
+    return tag.zero if tag.zero in (a, b) else a + b
 
 
 def _check_payload(v: Number) -> Number:
@@ -195,26 +187,18 @@ def mat_mul(a: TropicalMatrix, b: TropicalMatrix) -> TropicalMatrix:
     tag = a.tag
     n, m, p = a.rows, a.cols, b.cols
     ae, be = a.entries, b.entries
+    cols = [be[j::p] for j in range(p)]
     out: list[Number] = []
     maxplus = tag is MAXPLUS
     zero = tag.zero
     for i in range(n):
         arow = ae[i * m : (i + 1) * m]
-        for j in range(p):
+        for col in cols:
             best: Number = zero
-            for k in range(m):
-                x, y = arow[k], be[k * p + j]
-                if maxplus:
-                    if x == NEG_INF or y == NEG_INF:
-                        continue
-                    v = POS_INF if (x == POS_INF or y == POS_INF) else x + y
-                    if v > best:
-                        best = v
-                else:
-                    if x == POS_INF or y == POS_INF:
-                        continue
-                    v = NEG_INF if (x == NEG_INF or y == NEG_INF) else x + y
-                    if v < best:
+            for x, y in zip(arow, col):
+                if x != zero and y != zero:
+                    v = x + y
+                    if (v > best) if maxplus else (v < best):
                         best = v
             out.append(best)
     return TropicalMatrix(n, p, tag, tuple(out))
@@ -236,7 +220,7 @@ def scale(a: TropicalMatrix, s: Number) -> TropicalMatrix:
     """Multiply every entry by the finite scalar s (tropically: add s)."""
     if not is_finite(s):
         raise TropicalError("scale factor must be finite")
-    ent = tuple(v if not is_finite(v) else v + s for v in a.entries)
+    ent = tuple(v + s for v in a.entries)
     return TropicalMatrix(a.rows, a.cols, a.tag, ent)
 
 
@@ -256,10 +240,7 @@ def negate(a: TropicalMatrix) -> TropicalMatrix:
     Circuits of the precedence graph keep their support, with negated
     weights, which is what the min-plus / max-plus dualities rely on.
     """
-    out = tuple(
-        POS_INF if v == NEG_INF else NEG_INF if v == POS_INF else -v for v in a.entries
-    )
-    return TropicalMatrix(a.rows, a.cols, a.tag.dual, out)
+    return TropicalMatrix(a.rows, a.cols, a.tag.dual, tuple(-v for v in a.entries))
 
 
 def retag(a: TropicalMatrix, tag: SemiringTag) -> TropicalMatrix:
@@ -292,16 +273,22 @@ def kleene_plus(a: TropicalMatrix) -> TropicalMatrix:
 
 def _plus_closure(a: TropicalMatrix) -> TropicalMatrix:
     """Pivot k lets entry (i, j), the best walk from j to i, pass through k;
-    a diagonal entry that addition with UNIT moves off UNIT diverges."""
+    a diagonal entry better than UNIT diverges."""
     tag = a.tag
+    maxplus = tag is MAXPLUS
+    zero = tag.zero
     d = a.to_rows()
     for k, pivot in enumerate(d):
         for row in d:
             rk = row[k]
-            for j, kj in enumerate(pivot):
-                row[j] = scalar_add(row[j], scalar_mul(rk, kj, tag), tag)
+            if rk != zero:
+                for j, kj in enumerate(pivot):
+                    if kj != zero:
+                        v = rk + kj
+                        if (v > row[j]) if maxplus else (v < row[j]):
+                            row[j] = v
     for i, row in enumerate(d):
-        if scalar_add(row[i], UNIT, tag) != UNIT:
+        if (row[i] > UNIT) if maxplus else (row[i] < UNIT):
             raise StarDivergence(i)
     return TropicalMatrix.from_rows(d, tag)
 

@@ -258,6 +258,21 @@ def test_single_state_csv_is_an_input_error(tmp_path, capsys):
     assert_one_error_line(*run(capsys, "verify", str(model), "--trajectory", str(csv)))
 
 
+@pytest.mark.parametrize("model", [
+    "pteg m\ntransitions t,u v\nplace p from v to v tokens 1 interval 1 2\n",
+    "pteg m\ntransitions a b\nplace p,q from a to b tokens 2 interval 1 2\n"
+    "place q from b to a tokens 1 interval 1 2\n",
+], ids=["transition", "place"])
+def test_comma_in_a_name_is_an_input_error(tmp_path, capsys, model):
+    """Names head the trajectory CSV columns, a 2-token place's synthetic
+    transition 'p,q#1' among them, so a comma would split a column."""
+    path = tmp_path / "comma.pteg"
+    path.write_text(model)
+    code, out, err = run(capsys, "trajectory", str(path), "--mode", "fastest", "--steps", "3")
+    assert_one_error_line(code, out, err)
+    assert "comma" in err
+
+
 def test_zero_steps_is_an_input_error(capsys):
     """A one-state trajectory could not be verified, so it is not written."""
     assert_one_error_line(*run(capsys, "trajectory", ELECTRO, "--mode", "fastest", "--steps", "0"))

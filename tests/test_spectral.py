@@ -318,6 +318,28 @@ def test_coupling_index_single_self_loop():
     assert coupling_index(M([[3]])) == 0
 
 
+def test_coupling_index_makes_one_product_per_step(monkeypatch):
+    """A sliding window of a^n .. a^(n+c): c products to fill it, then one
+    per step, so c + N products in all."""
+    import ptegkit.spectral
+    import ptegkit.tropical
+
+    a = M([[E, 2, 0], [2, E, E], [0, E, 0]])  # 2-cycle of mean 2 and a slower loop
+    c = cyclicity(a)
+    products = 0
+
+    def counting(x, y):
+        nonlocal products
+        products += 1
+        return mat_mul(x, y)
+
+    monkeypatch.setattr(ptegkit.spectral, "mat_mul", counting)
+    monkeypatch.setattr(ptegkit.tropical, "mat_mul", counting)
+    n = coupling_index(a)
+    assert (c, n) == (2, 4)
+    assert products == c + n
+
+
 def test_coupling_index_cap_consistency():
     rng = random.Random(41)
     for _ in range(30):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -106,12 +107,40 @@ def test_mat_mul_matches_shared_eigenvector(running_mod_cm):
     assert mat_mul(running_mod_cm.calA, x) == TropicalMatrix.column((1, 2, 1, 2), MAXPLUS)
 
 
+def assert_mixed_products_match_naive_oracle(rng, tag):
+    """Rectangular shapes, top entries, and int, Fraction and float payloads:
+    the same entries of the same types as the oracle."""
+    maxplus = tag is MAXPLUS
+    payloads = [
+        lambda: rng.randint(-9, 9),
+        lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 4)),
+        lambda: rng.randint(-18, 18) / 4,
+    ]
+
+    def entry():
+        u = rng.random()
+        return tag.zero if u < 0.3 else tag.top if u < 0.4 else rng.choice(payloads)()
+
+    seen_top = 0
+    for _ in range(200):
+        n, m, p = rng.randint(1, 5), rng.randint(1, 5), rng.randint(1, 5)
+        a = [[entry() for _ in range(m)] for _ in range(n)]
+        b = [[entry() for _ in range(p)] for _ in range(m)]
+        got = mat_mul(M(a, tag), M(b, tag)).to_rows()
+        want = naive_mul(a, b, maxplus)
+        assert got == want
+        assert [[type(v) for v in row] for row in got] == [[type(v) for v in row] for row in want]
+        seen_top += any(tag.top in row for row in got)
+    assert seen_top >= 50
+
+
 def test_mat_mul_matches_naive_oracle():
     rng = random.Random(2024)
     for _ in range(50):
         a = random_matrix(rng, 3, density=0.6)
         b = random_matrix(rng, 3, density=0.6)
         assert mat_mul(a, b).to_rows() == naive_mul(a.to_rows(), b.to_rows())
+    assert_mixed_products_match_naive_oracle(rng, MAXPLUS)
 
 
 def test_mat_mul_minplus_matches_naive_oracle():
@@ -120,6 +149,25 @@ def test_mat_mul_minplus_matches_naive_oracle():
         a = random_matrix(rng, 3, MINPLUS, density=0.6)
         b = random_matrix(rng, 3, MINPLUS, density=0.6)
         assert mat_mul(a, b).to_rows() == naive_mul(a.to_rows(), b.to_rows(), maxplus=False)
+    assert_mixed_products_match_naive_oracle(rng, MINPLUS)
+
+
+def test_closures_make_no_scalar_calls(monkeypatch):
+    """The Floyd-Warshall step applies the product rule inline."""
+    import ptegkit.tropical
+
+    def forbidden(*args):
+        raise AssertionError("per-entry call to a public scalar operation")
+
+    monkeypatch.setattr(ptegkit.tropical, "scalar_add", forbidden)
+    monkeypatch.setattr(ptegkit.tropical, "scalar_mul", forbidden)
+    rng = random.Random(31)
+    for tag in (MAXPLUS, MINPLUS):
+        for _ in range(5):
+            a = random_nondiverging(rng, 4, tag)
+            assert kleene_plus(a) == mat_mul(a, kleene_star(a))
+    with pytest.raises(StarDivergence):
+        kleene_star(M([[1]]))
 
 
 def test_mat_mul_rejects_mixed_tags():
