@@ -34,10 +34,13 @@ from .spectral import (
 )
 from .tropical import (
     MAXPLUS,
-    MINPLUS,
+    NEG_INF,
+    POS_INF,
+    DimensionMismatch,
     Number,
     StarDivergence,
     TropicalMatrix,
+    _check_payload,
     conjugate,
     format_number,
     is_finite,
@@ -45,7 +48,6 @@ from .tropical import (
     leq,
     mat_add,
     mat_mul,
-    retag,
 )
 
 
@@ -116,7 +118,7 @@ class Trajectory:
         if not self.states:
             raise ValueError("trajectory needs at least one state")
         for x in self.states:
-            if any(not is_finite(v) for v in x):
+            if NEG_INF in x or POS_INF in x:
                 raise ValueError("trajectory states must be finite")
 
 
@@ -326,31 +328,60 @@ def verify_trajectory(bundle: MatrixBundle, traj: Trajectory) -> list[Violation]
     and the upper bound x(k) <= B# (x)' x(k) (+)' C (x)' x(k-1) must hold;
     the initial state must satisfy B (x) x(0) <= x(0).  Violations name
     the step, transition, bound side and the signed slack.
+
+    The matrices are read once into arc lists, and a step makes one pass
+    over them on the pair x(k-1), x(k) as one tuple (x(k)_j at n + j).
+    Each bound follows the kernel's product rule (the zero was dropped
+    with the arcs, native + does the rest, the first best term wins a
+    tie, A before Blow and B# before C), so it has the value and the type
+    of the dense formula.
     """
-    if len(traj.states) < 2:
+    states = traj.states
+    if len(states) < 2:
         raise ValueError("verification needs at least two states")
     names = bundle.index_map
-    bsharp = conjugate(bundle.B)
+    n = len(names)
+    if any(len(x) != n for x in states):
+        raise DimensionMismatch(f"trajectory states must have {n} entries")
     out: list[Violation] = []
-    x_prev = TropicalMatrix.column(traj.states[0], MAXPLUS)
-    init_bound = mat_mul(bundle.B, x_prev)
-    for i in range(len(names)):
-        if not x_prev[i, 0] >= init_bound[i, 0]:
-            out.append(Violation(0, names[i], "initial", _slack(x_prev[i, 0], init_bound[i, 0])))
-    for k in range(1, len(traj.states)):
-        x_k = TropicalMatrix.column(traj.states[k], MAXPLUS)
-        lower = mat_add(mat_mul(bundle.A, x_prev), mat_mul(bundle.Blow, x_k))
-        upper = mat_add(
-            mat_mul(bsharp, retag(x_k, MINPLUS)),
-            mat_mul(bundle.C, retag(x_prev, MINPLUS)),
-        )
-        for i in range(len(names)):
-            if not x_k[i, 0] >= lower[i, 0]:
-                out.append(Violation(k, names[i], "lower", _slack(x_k[i, 0], lower[i, 0])))
-            if not x_k[i, 0] <= upper[i, 0]:
-                out.append(Violation(k, names[i], "upper", _slack(upper[i, 0], x_k[i, 0])))
-        x_prev = x_k
+    x0 = states[0]
+    for i, arcs in enumerate(_arcs(bundle.B)):
+        bound = max([w + x0[j] for j, w in arcs], default=NEG_INF)
+        if not x0[i] >= bound:
+            _check_payload(x0[i])  # a NaN date fails every comparison
+            out.append(Violation(0, names[i], "initial", _slack(x0[i], bound)))
+    lower_arcs = [a + blow for a, blow in zip(_arcs(bundle.A), _arcs(bundle.Blow, n))]
+    upper_arcs = [bsharp + c for bsharp, c in zip(_arcs(conjugate(bundle.B), n), _arcs(bundle.C))]
+    rows = list(zip(range(n, 2 * n), names, lower_arcs, upper_arcs))
+    for k in range(1, len(states)):
+        pair = states[k - 1] + states[k]
+        for i, name, lower_row, upper_row in rows:
+            have = pair[i]
+            lower = NEG_INF
+            for j, w in lower_row:
+                v = w + pair[j]
+                if v > lower:
+                    lower = v
+            if not have >= lower:
+                _check_payload(have)
+                out.append(Violation(k, name, "lower", _slack(have, lower)))
+            upper = POS_INF
+            for j, w in upper_row:
+                v = w + pair[j]
+                if v < upper:
+                    upper = v
+            if not have <= upper:
+                out.append(Violation(k, name, "upper", _slack(upper, have)))
     return out
+
+
+def _arcs(m: TropicalMatrix, offset: int = 0) -> list[tuple[tuple[int, Number], ...]]:
+    """Per row i, the (offset + j, w) pairs of the entries that are not the
+    semiring zero, in column order."""
+    zero = m.tag.zero
+    return [
+        tuple((offset + j, w) for j, w in enumerate(m.row(i)) if w != zero) for i in range(m.rows)
+    ]
 
 
 def _slack(have: Number, bound: Number) -> Number | str:

@@ -251,10 +251,12 @@ def parse_trajectory_csv(text: str, names: tuple[str, ...]) -> Trajectory:
             f"expected k,{','.join(names)} got {rows[0]!r}"
         )
     states = []
-    for ln in rows[1:]:
+    for k, ln in enumerate(rows[1:]):
         cells = [c.strip() for c in ln.split(",")]
         if len(cells) != len(names) + 1:
             raise ModelError(f"bad CSV row {ln!r}")
+        if cells[0] != str(k):  # violations are reported by row position
+            raise ModelError(f"bad step in CSV row {ln!r}: expected k={k}")
         try:
             states.append(tuple(parse_number(c) for c in cells[1:]))
         except (ValueError, ZeroDivisionError, TropicalError):

@@ -246,3 +246,47 @@ def first_order_admissible(cm, states):
             if not (maxdot(cal_a, prev, i) <= cur[i] <= mindot(cal_b, prev, i)):
                 return False
     return True
+
+
+def violations_by_rows(names, a, blow, b, c, states):
+    """Violations of the raw per-step bounds as (step, transition, side,
+    slack), from dense row lists with straight loops.
+
+    A product term is skipped when either factor is the semiring zero and
+    is native + otherwise; the first strictly best term wins, and so does
+    the first operand of a sum on a tie (A before Blow, B# before C).  The
+    bundles this is used on have only finite bounds where a bound can be
+    violated, so every slack is a plain difference.
+    """
+    n = len(names)
+    bsharp = [[POS if b[j][i] == NEG else NEG if b[j][i] == POS else -b[j][i] for j in range(n)] for i in range(n)]
+
+    def dot(rows, vec, i, maxplus):
+        zero = NEG if maxplus else POS
+        best = zero
+        for j in range(n):
+            if rows[i][j] == zero or vec[j] == zero:
+                continue
+            v = rows[i][j] + vec[j]
+            if (v > best) if maxplus else (v < best):
+                best = v
+        return best
+
+    out = []
+    x0 = states[0]
+    for i in range(n):
+        bound = dot(b, x0, i, True)
+        if not x0[i] >= bound:
+            out.append((0, names[i], "initial", x0[i] - bound))
+    for k in range(1, len(states)):
+        prev, cur = states[k - 1], states[k]
+        for i in range(n):
+            low_a, low_blow = dot(a, prev, i, True), dot(blow, cur, i, True)
+            low = low_blow if low_blow > low_a else low_a
+            if not cur[i] >= low:
+                out.append((k, names[i], "lower", cur[i] - low))
+            up_bsharp, up_c = dot(bsharp, cur, i, False), dot(c, prev, i, False)
+            up = up_c if up_c < up_bsharp else up_bsharp
+            if not cur[i] <= up:
+                out.append((k, names[i], "upper", up - cur[i]))
+    return out

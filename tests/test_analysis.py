@@ -4,20 +4,25 @@ and admissibility verification."""
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+import ptegkit.analysis
 from ptegkit import (
     MAXPLUS,
     MINPLUS,
     NEG_INF,
     POS_INF,
     CouplingNotFound,
+    DimensionMismatch,
     ExistenceReport,
+    ModelError,
     NotIrreducible,
     Trajectory,
     TrajectoryMode,
+    TropicalError,
     TropicalMatrix,
     build_combined,
     conjugate,
@@ -42,7 +47,7 @@ from ptegkit import (
 )
 
 from conftest import load_golden_matrix, random_model_text
-from oracles import def8_admissible, first_order_admissible
+from oracles import def8_admissible, first_order_admissible, violations_by_rows
 
 X_A = (0, 40, 437, 495, 307, 365, 156, 214, -54)
 X_B = (0, 40, 440, 498, 264, 322, 94, 152, -80)
@@ -329,6 +334,110 @@ def test_initial_state_membership_is_checked(running_mod_bundle):
 def test_verify_needs_two_states(electro_bundle):
     with pytest.raises(ValueError):
         verify_trajectory(electro_bundle, Trajectory(states=((0,) * 9,), mode=TrajectoryMode.CUSTOM))
+
+
+@pytest.mark.parametrize(
+    "states,error",
+    [
+        (((float("nan"), 0, 0, 0), (1, 2, 1, 2)), TropicalError),
+        (((0, 1, 0, 1), (1, 2, 1, 2), (2, 3, float("nan"), 3)), TropicalError),
+        (((0, 1, 0, 1), (1, 2, 1)), DimensionMismatch),
+        (((0, 1, 0, 1, 0), (1, 2, 1, 2, 1)), DimensionMismatch),
+    ],
+    ids=["nan-initial", "nan-later", "short-state", "long-state"],
+)
+def test_verify_rejects_states_that_are_no_dates(running_mod_bundle, states, error):
+    with pytest.raises(error):
+        verify_trajectory(running_mod_bundle, Trajectory(states=states, mode=TrajectoryMode.CUSTOM))
+
+
+def test_verify_work_does_not_grow_with_the_trajectory(electro_cm, electro_bundle, monkeypatch):
+    short = run_trajectory(electro_cm, shift(X_A, 54), TrajectoryMode.FASTEST, 10)
+    long = run_trajectory(electro_cm, shift(X_A, 54), TrajectoryMode.FASTEST, 1000)
+    counts = Counter()
+    real_mul = ptegkit.analysis.mat_mul
+
+    def counting_mul(a, b):
+        counts["mat_mul"] += 1
+        return real_mul(a, b)
+
+    class CountingMatrix(TropicalMatrix):
+        def __post_init__(self):
+            counts["TropicalMatrix"] += 1
+            super().__post_init__()
+
+    monkeypatch.setattr(ptegkit.analysis, "mat_mul", counting_mul)
+    monkeypatch.setattr(ptegkit.analysis, "TropicalMatrix", CountingMatrix)
+    work = []
+    for traj in (short, long):
+        counts.clear()
+        assert verify_trajectory(electro_bundle, traj) == []
+        work.append(dict(counts))
+    assert (len(short.states), len(long.states)) == (11, 1001)
+    assert work[0] == work[1]
+
+
+def _loosen_and_double(rng, text):
+    """The model with some upper bounds dropped to inf and some places
+    doubled by a parallel place with a nearby window."""
+    lines = text.splitlines()
+    out = lines[:2]
+    for ln in lines[2:]:
+        f = ln.split()
+        if rng.random() < 0.25:
+            f[-1] = "inf"
+        out.append(" ".join(f))
+        if rng.random() < 0.3:
+            lo = max(0, int(f[-2]) + rng.randint(-2, 2))
+            hi = "inf" if f[-1] == "inf" and rng.random() < 0.5 else str(lo + rng.randint(0, 8))
+            out.append(" ".join([f[0], f[1] + "b", *f[2:-2], str(lo), hi]))
+    return "\n".join(out) + "\n"
+
+
+def _perturbed_runs(rng, count):
+    """count (bundle, states, date type) triples on random models: half
+    fastest runs from a random start in the image of B*, half dates drawn
+    close together; some dates turned into Fractions or floats of the same
+    value, and noise added at random steps."""
+    while count:
+        m = parse_model(_loosen_and_double(rng, random_model_text(rng, rng.randint(2, 5))))
+        if validate(m):
+            continue
+        bundle = extract_matrices(normalize(m))
+        try:
+            cm = build_combined(bundle)
+        except ModelError:  # a parallel window left the same-step system empty
+            continue
+        n, steps = len(bundle.index_map), rng.randint(1, 6)
+        if rng.random() < 0.5:
+            x0 = mat_mul(cm.Bstar, TropicalMatrix.column([rng.randint(0, 20) for _ in range(n)], MAXPLUS))
+            base = run_trajectory(cm, x0.entries, TrajectoryMode.FASTEST, steps).states
+        else:  # dates close together, so that bound terms often tie
+            rate = rng.randint(0, 8)
+            base = [[k * rate + rng.randint(0, 3) for _ in range(n)] for k in range(steps + 1)]
+        kind = rng.choice((int, Fraction, float))
+        unit = {int: 1, Fraction: Fraction(1, 3), float: 0.5}[kind]
+        states = [[kind(v) if rng.random() < 0.5 else v for v in s] for s in base]
+        for k in rng.sample(range(len(states)), rng.randint(0, 2)):
+            states[k] = [v + rng.choice((0, 0, -1, 1)) * rng.choice((1, unit)) for v in states[k]]
+        yield bundle, tuple(tuple(s) for s in states), kind
+        count -= 1
+
+
+def test_violation_list_matches_the_dense_oracle():
+    sides = Counter()
+    dates = Counter()
+    for bundle, states, kind in _perturbed_runs(random.Random(101), 240):
+        lib = verify_trajectory(bundle, Trajectory(states=states, mode=TrajectoryMode.CUSTOM))
+        rows = [mat.to_rows() for mat in (bundle.A, bundle.Blow, bundle.B, bundle.C)]
+        want = violations_by_rows(bundle.index_map, *rows, states)
+        assert [(v.step, v.transition, v.side, v.slack, type(v.slack)) for v in lib] == [
+            (*w, type(w[3])) for w in want
+        ]
+        sides.update({v.side for v in lib})
+        dates[kind] += 1
+    assert min(sides[side] for side in ("lower", "upper", "initial")) >= 30
+    assert min(dates.values()) >= 50
 
 
 # ------------------------------------------- equivalence and invariants

@@ -250,6 +250,22 @@ def test_non_utf8_csv_is_an_input_error(tmp_path, capsys):
     assert_one_error_line(*run(capsys, "verify", str(model), "--trajectory", str(csv)))
 
 
+@pytest.mark.parametrize(
+    "labels",
+    [{2: "abc"}, {3: "7"}, {k: str(k + 1) for k in range(7)}, {1: "01"}, {4: ""}],
+    ids=["text", "out-of-order", "from-one", "leading-zero", "empty"],
+)
+def test_wrong_step_label_is_an_input_error(tmp_path, capsys, labels):
+    csv = tmp_path / "fast.csv"
+    run(capsys, "trajectory", RUNNING_MOD, "--mode", "fastest", "--steps", "6", "--out", str(csv))
+    lines = csv.read_text().splitlines()
+    first = lines.index("k," + ",".join(("x1", "x2", "x3", "x4"))) + 1
+    for k, label in labels.items():
+        lines[first + k] = label + lines[first + k][lines[first + k].index(","):]
+    csv.write_text("\n".join(lines) + "\n")
+    assert_one_error_line(*run(capsys, "verify", RUNNING_MOD, "--trajectory", str(csv)))
+
+
 def test_single_state_csv_is_an_input_error(tmp_path, capsys):
     model = tmp_path / "ok.pteg"
     model.write_text(TWO_CYCLE.format("1 2"))
